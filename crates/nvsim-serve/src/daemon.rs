@@ -4,10 +4,13 @@
 //! Two drivers share the transport layer:
 //!
 //! * [`serve_listener`] — the socket daemon. A non-blocking
-//!   `TcpListener` poll loop owns every connection; the [`Server`] lives
-//!   on a dedicated execution thread fed over channels, so frame decode
-//!   of one connection overlaps command execution of another (one
-//!   [`FlushCycle`] in flight at a time —
+//!   `TcpListener` event loop owns every connection and, when a pass
+//!   makes no progress, blocks in one `poll(2)` readiness wait on the
+//!   listener, the sockets and a wake fd the execution thread writes
+//!   after each cycle. The [`Server`] lives on that dedicated execution
+//!   thread fed over channels, so frame decode of one connection
+//!   overlaps command execution of another (one [`FlushCycle`] in
+//!   flight at a time —
 //!   the pipelining never reorders anything, because the mux assembles
 //!   cycles deterministically and responses are demultiplexed by
 //!   command assignment, not completion time).
@@ -22,8 +25,8 @@
 //! exits 0.
 //!
 //! This module is Driver-class code: it does real I/O, spawns the
-//! execution thread, and sleeps between idle polls. Everything
-//! byte-relevant stays inside the deterministic
+//! execution thread, and waits on readiness with a wall-clock timeout.
+//! Everything byte-relevant stays inside the deterministic
 //! [`transport`](crate::transport) and [`server`](crate::server)
 //! layers.
 
@@ -34,19 +37,23 @@ use crate::transport::{
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::raw::{c_int, c_short, c_ulong};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Duration;
 
 /// Socket read size per syscall.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Idle poll sleep (only taken when a pass made no progress at all).
-const IDLE_SLEEP: Duration = Duration::from_millis(1);
+/// Longest readiness wait, in milliseconds (taken only when a pass made
+/// no progress). It bounds how long the poll clock (`mux.tick()`) and
+/// the shutdown flag can go unobserved while every socket is quiet.
+const WAIT_QUANTUM_MS: c_int = 1;
 
-/// Poll passes the drain phase spends flushing owed bytes to slow
-/// readers before force-closing them.
+/// Passes without progress the drain phase spends flushing owed bytes
+/// to slow readers before force-closing them.
 const DRAIN_PASSES: usize = 2_000;
 
 /// Poll passes a faulted connection stays half-closed (write side shut,
@@ -66,33 +73,112 @@ pub struct DaemonReport {
     pub cycles: u64,
     /// Sessions parked as snapshot blobs by the graceful drain.
     pub parked_sessions: usize,
+    /// Event-loop passes of the socket daemon, the drain phase's flush
+    /// passes included (0 for [`serve_stream`]). A quiet daemon makes
+    /// about one pass per wait quantum; far more means it spins.
+    pub polls: u64,
+}
+
+/// `poll(2)` event bits (Linux `<poll.h>`).
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: c_short,
+    revents: c_short,
+}
+
+extern "C" {
+    /// `nfds_t` is `unsigned long` on Linux.
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+/// The descriptors one readiness wait watches, rebuilt each pass.
+#[derive(Default)]
+struct WaitSet(Vec<PollFd>);
+
+impl WaitSet {
+    /// Watches `fd` for `events`. With no interest the entry gets
+    /// `fd = -1`, which `poll` skips: it would otherwise still report
+    /// `POLLHUP`/`POLLERR` for the socket, and a half-closed peer of a
+    /// back-pressured connection would end every wait at once.
+    fn watch(&mut self, fd: &impl AsRawFd, events: c_short) {
+        let fd = if events == 0 { -1 } else { fd.as_raw_fd() };
+        self.0.push(PollFd {
+            fd,
+            events,
+            revents: 0,
+        });
+    }
+
+    /// Blocks until a watched descriptor is ready or `timeout_ms`
+    /// passes, then empties the set. A signal ending the wait early
+    /// (`EINTR`) counts as a timeout.
+    fn wait(&mut self, timeout_ms: c_int) -> io::Result<()> {
+        let (fds, nfds) = (self.0.as_mut_ptr(), self.0.len() as c_ulong);
+        // SAFETY: `fds` points at `nfds` initialized `repr(C)` pollfds, borrowed mutably for the call.
+        let ready = unsafe { poll(fds, nfds, timeout_ms) };
+        self.0.clear();
+        if ready < 0 {
+            let e = io::Error::last_os_error();
+            if e.kind() != io::ErrorKind::Interrupted {
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The execution side of the pipeline: a thread that owns the server,
 /// executes cycles sent to it, and parks every session when the channel
-/// closes.
+/// closes. After each completed cycle it writes one byte to the wake
+/// socket, which ends the event loop's readiness wait.
 struct ExecThread {
     cycle_tx: mpsc::Sender<FlushCycle>,
     done_rx: mpsc::Receiver<CompletedCycle>,
+    wake_rx: UnixStream,
     handle: thread::JoinHandle<usize>,
 }
 
-fn spawn_exec(mut server: Server) -> ExecThread {
+fn spawn_exec(mut server: Server) -> io::Result<ExecThread> {
     let (cycle_tx, cycle_rx) = mpsc::channel::<FlushCycle>();
     let (done_tx, done_rx) = mpsc::channel::<CompletedCycle>();
+    let (mut wake_tx, wake_rx) = UnixStream::pair()?;
+    // Neither end ever blocks: a full wake buffer is already readable.
+    wake_tx.set_nonblocking(true)?;
+    wake_rx.set_nonblocking(true)?;
     let handle = thread::spawn(move || {
         while let Ok(cycle) = cycle_rx.recv() {
             let done = cycle.execute(&mut server);
             if done_tx.send(done).is_err() {
                 break;
             }
+            let _ = wake_tx.write(&[1]);
         }
         server.park_all()
     });
-    ExecThread {
+    Ok(ExecThread {
         cycle_tx,
         done_rx,
+        wake_rx,
         handle,
+    })
+}
+
+/// Reads and discards everything readable on a non-blocking socket.
+/// Returns `false` once the peer has closed or the socket has failed.
+fn discard_input(stream: &mut impl Read, buf: &mut [u8]) -> bool {
+    loop {
+        match stream.read(buf) {
+            Ok(0) => return false,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
     }
 }
 
@@ -120,13 +206,18 @@ fn pump_output(mux: &mut TransportMux, id: ConnId, stream: &mut TcpStream) -> io
 
 /// Runs the socket daemon until `shutdown` flips true, then drains
 /// gracefully (see module docs). The listener is put into non-blocking
-/// mode; connections are polled round-robin with back-pressure and
-/// fairness from the [`TransportMux`].
+/// mode; connections are served round-robin with back-pressure and
+/// fairness from the [`TransportMux`]. A pass that makes no progress
+/// waits for readiness: the listener, each socket the mux wants read
+/// (read interest) or owes bytes (write interest), each lingering
+/// socket, and the execution thread's wake fd — for at most one wait
+/// quantum, so the poll clock keeps ticking.
 ///
 /// # Errors
 ///
 /// Only loop-fatal I/O errors (the listener breaking, the execution
-/// thread dying); per-connection errors tear down that connection only.
+/// thread dying, its wake socket pair failing to open, a readiness wait
+/// failing); per-connection errors tear down that connection only.
 pub fn serve_listener(
     listener: TcpListener,
     server: Server,
@@ -134,7 +225,7 @@ pub fn serve_listener(
     shutdown: Arc<AtomicBool>,
 ) -> io::Result<DaemonReport> {
     listener.set_nonblocking(true)?;
-    let exec = spawn_exec(server);
+    let mut exec = spawn_exec(server)?;
     let mut mux = TransportMux::new(cfg);
     let mut socks: BTreeMap<ConnId, TcpStream> = BTreeMap::new();
     let mut report = DaemonReport::default();
@@ -142,8 +233,10 @@ pub fn serve_listener(
     let mut buf = vec![0u8; READ_CHUNK];
     let mut draining = false;
     let mut lingering: Vec<(TcpStream, usize)> = Vec::new();
+    let mut waits = WaitSet::default();
 
     loop {
+        report.polls += 1;
         let mut progress = false;
         if !draining && shutdown.load(Ordering::SeqCst) {
             draining = true;
@@ -197,6 +290,9 @@ pub fn serve_listener(
         }
 
         if cycle_in_flight {
+            // Empty the wake fd before looking for the result, so a
+            // wake-up for a cycle finishing after this check survives.
+            discard_input(&mut exec.wake_rx, &mut buf);
             match exec.done_rx.try_recv() {
                 Ok(done) => {
                     mux.absorb(done);
@@ -262,14 +358,8 @@ pub fn serve_listener(
         // drop each once the client closes its side, errors, or the
         // pass budget runs out. Discarded bytes are not progress.
         lingering.retain_mut(|(stream, passes)| {
-            loop {
-                match stream.read(&mut buf) {
-                    Ok(0) => return false,
-                    Ok(_) => {}
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return false,
-                }
+            if !discard_input(stream, &mut buf) {
+                return false;
             }
             *passes -= 1;
             *passes > 0
@@ -283,6 +373,7 @@ pub fn serve_listener(
             // passes to take their owed bytes, then force-close.
             let mut passes = 0;
             while passes < DRAIN_PASSES && !socks.is_empty() {
+                report.polls += 1;
                 let mut moved = false;
                 let mut gone: Vec<ConnId> = Vec::new();
                 for (&id, stream) in &mut socks {
@@ -302,7 +393,11 @@ pub fn serve_listener(
                     mux.disconnect(id);
                 }
                 if !moved {
-                    thread::sleep(IDLE_SLEEP);
+                    // Every socket left still owes bytes.
+                    for stream in socks.values() {
+                        waits.watch(stream, POLLOUT);
+                    }
+                    waits.wait(WAIT_QUANTUM_MS)?;
                     passes += 1;
                 }
             }
@@ -316,10 +411,35 @@ pub fn serve_listener(
         // The poll clock must advance every pass: gating the tick on an
         // idle pass would let any busy connection — including a
         // slow-trickle attacker itself — keep the clock frozen and the
-        // IdlePartialFrame defense inert. Only the sleep is gated.
+        // IdlePartialFrame defense inert. Only the wait is gated.
         mux.tick();
         if !progress {
-            thread::sleep(IDLE_SLEEP);
+            if !draining {
+                waits.watch(&listener, POLLIN);
+            }
+            // Only an in-flight cycle can be waited for: a wake-up byte
+            // left over from a cycle already absorbed would otherwise end
+            // every wait until the next cycle starts.
+            if cycle_in_flight {
+                waits.watch(&exec.wake_rx, POLLIN);
+            }
+            for (&id, stream) in &socks {
+                let read = if !draining && mux.wants_read(id) {
+                    POLLIN
+                } else {
+                    0
+                };
+                let write = if mux.output(id).is_empty() {
+                    0
+                } else {
+                    POLLOUT
+                };
+                waits.watch(stream, read | write);
+            }
+            for (stream, _) in &lingering {
+                waits.watch(stream, POLLIN);
+            }
+            waits.wait(WAIT_QUANTUM_MS)?;
         }
     }
 

@@ -16,10 +16,67 @@ use nvsim_types::{
     Addr, BackendCounters, BackendError, ConfigError, MemOp, MemoryBackend, ReqId, RequestDesc,
     SessionOptions, Time, CACHE_LINE,
 };
-// nvsim-lint: allow(unordered-map) — the tag array is key-indexed only
-// (get/insert by set index, never iterated), so iteration order is never
-// observed; a hash map keeps the potentially multi-million-entry array O(1).
-use std::collections::HashMap;
+
+/// Tag-array entries per lazily allocated chunk (4 KiB of packed tags).
+const TAG_CHUNK: u64 = 512;
+
+/// The direct-mapped tag store, indexed by set. It is allocated in
+/// [`TAG_CHUNK`]-entry chunks on first touch, so a 16 M-set cache costs
+/// only its chunk index until traffic reaches a chunk, and `clear` frees
+/// memory instead of zeroing it. Each entry packs
+/// `((tag + 1) << 1) | dirty`; 0 is an empty set.
+#[derive(Debug)]
+struct TagArray {
+    chunks: Vec<Option<Box<[u64]>>>,
+}
+
+impl TagArray {
+    fn new(sets: u64) -> Self {
+        // `vec![None; n]` allocates zeroed memory, so the index pages too
+        // stay untouched until a chunk in them is allocated.
+        TagArray {
+            chunks: vec![None; sets.div_ceil(TAG_CHUNK) as usize],
+        }
+    }
+
+    /// The `(tag, dirty)` resident in `set`, if any.
+    fn get(&self, set: u64) -> Option<(u64, bool)> {
+        let chunk = self.chunks[(set / TAG_CHUNK) as usize].as_deref()?;
+        match chunk[(set % TAG_CHUNK) as usize] {
+            0 => None,
+            e => Some(unpack(e)),
+        }
+    }
+
+    fn insert(&mut self, set: u64, tag: u64, dirty: bool) {
+        let chunk = self.chunks[(set / TAG_CHUNK) as usize]
+            .get_or_insert_with(|| vec![0; TAG_CHUNK as usize].into_boxed_slice());
+        chunk[(set % TAG_CHUNK) as usize] = ((tag + 1) << 1) | u64::from(dirty);
+    }
+
+    fn clear(&mut self) {
+        self.chunks.fill(None);
+    }
+
+    /// Every resident `(set, tag, dirty)`, in ascending set order.
+    fn entries(&self) -> impl Iterator<Item = (u64, u64, bool)> + '_ {
+        let allocated = (self.chunks.iter().zip(0u64..))
+            .filter_map(|(chunk, c)| Some((chunk.as_deref()?, c * TAG_CHUNK)));
+        allocated.flat_map(|(chunk, first_set)| {
+            (chunk.iter().zip(first_set..))
+                .filter(|&(&e, _)| e != 0)
+                .map(|(&e, set)| {
+                    let (tag, dirty) = unpack(e);
+                    (set, tag, dirty)
+                })
+        })
+    }
+}
+
+/// Decodes a non-empty packed tag-array entry into `(tag, dirty)`.
+fn unpack(e: u64) -> (u64, bool) {
+    ((e >> 1) - 1, e & 1 == 1)
+}
 
 /// Statistics of the near-memory cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,8 +110,7 @@ pub struct MemoryModeSystem {
     nvram: MemorySystem,
     dram: DramModel,
     /// Direct-mapped tag array: set index → (tag, dirty).
-    // nvsim-lint: allow(unordered-map) — lookup-only by set index, never iterated.
-    tags: HashMap<u64, (u64, bool)>,
+    tags: TagArray,
     /// Number of cache sets (DRAM capacity / 64 B).
     sets: u64,
     /// In-flight completions of this wrapper.
@@ -82,8 +138,7 @@ impl MemoryModeSystem {
         Ok(MemoryModeSystem {
             nvram,
             dram,
-            // nvsim-lint: allow(unordered-map) — see field docs: never iterated.
-            tags: HashMap::new(),
+            tags: TagArray::new(sets),
             sets,
             pending: Vec::new(),
             next_id: 0,
@@ -108,11 +163,11 @@ impl MemoryModeSystem {
         let tag = line / self.sets;
         // Tag + data are colocated: one DRAM access resolves the lookup.
         let dram_done = self.dram.access(line_addr, write, now);
-        match self.tags.get(&set) {
-            Some(&(t, _dirty)) if t == tag => {
+        match self.tags.get(set) {
+            Some((t, _dirty)) if t == tag => {
                 self.stats.hits += 1;
                 if write {
-                    self.tags.insert(set, (tag, true));
+                    self.tags.insert(set, tag, true);
                 }
                 dram_done
             }
@@ -120,7 +175,7 @@ impl MemoryModeSystem {
                 self.stats.misses += 1;
                 // Dirty conflict eviction: write the victim back to NVRAM
                 // (posted — it only occupies the NVRAM write path).
-                if let Some(&(victim_tag, true)) = resident {
+                if let Some((victim_tag, true)) = resident {
                     self.stats.writebacks += 1;
                     let victim_addr = Addr::new((victim_tag * self.sets + set) * CACHE_LINE);
                     self.nvram.skip_to(now);
@@ -135,7 +190,7 @@ impl MemoryModeSystem {
                 let filled = self.nvram.expect_completion(id);
                 // Install into DRAM (posted).
                 let _ = self.dram.access(line_addr, true, filled);
-                self.tags.insert(set, (tag, write));
+                self.tags.insert(set, tag, write);
                 filled.max(dram_done)
             }
         }
@@ -148,23 +203,23 @@ impl MemoryModeSystem {
         let line = line_addr.line_index();
         let set = line % self.sets;
         let tag = line / self.sets;
-        match self.tags.get(&set) {
-            Some(&(t, _dirty)) if t == tag => {
+        match self.tags.get(set) {
+            Some((t, _dirty)) if t == tag => {
                 self.stats.hits += 1;
                 if write {
-                    self.tags.insert(set, (tag, true));
+                    self.tags.insert(set, tag, true);
                 }
             }
             resident => {
                 self.stats.misses += 1;
-                if let Some(&(victim_tag, true)) = resident {
+                if let Some((victim_tag, true)) = resident {
                     self.stats.writebacks += 1;
                     let victim_addr = Addr::new((victim_tag * self.sets + set) * CACHE_LINE);
                     self.nvram
                         .warm_access(&RequestDesc::new(victim_addr, 64, MemOp::NtStore));
                 }
                 self.nvram.warm_access(&RequestDesc::load(line_addr));
-                self.tags.insert(set, (tag, write));
+                self.tags.insert(set, tag, write);
             }
         }
     }
@@ -270,10 +325,8 @@ impl Snapshot for MemoryModeSystem {
         self.nvram.save(w);
         self.dram.save(w);
         w.put_u64(self.sets);
-        w.put_usize(self.tags.len());
-        let mut entries: Vec<_> = self.tags.iter().map(|(&s, &(t, d))| (s, t, d)).collect();
-        entries.sort_unstable();
-        for (set, tag, dirty) in entries {
+        w.put_usize(self.tags.entries().count());
+        for (set, tag, dirty) in self.tags.entries() {
             w.put_u64(set);
             w.put_u64(tag);
             w.put_bool(dirty);
@@ -301,12 +354,26 @@ impl Snapshot for MemoryModeSystem {
         if n > r.remaining() {
             return Err(r.invalid("tag-array entry count exceeds the blob"));
         }
+        // Tags of real lines stay below this bound, which also keeps the
+        // packed `(tag + 1) << 1` from overflowing.
+        let max_tag = u64::MAX / CACHE_LINE / self.sets;
         self.tags.clear();
+        let mut next_set = 0;
         for _ in 0..n {
             let set = r.get_u64()?;
+            if set >= self.sets {
+                return Err(r.invalid("tag-array set index out of range"));
+            }
+            if set < next_set {
+                return Err(r.invalid("tag-array sets not in strictly increasing order"));
+            }
+            next_set = set + 1;
             let tag = r.get_u64()?;
+            if tag > max_tag {
+                return Err(r.invalid("tag-array tag beyond the address space"));
+            }
             let dirty = r.get_bool()?;
-            self.tags.insert(set, (tag, dirty));
+            self.tags.insert(set, tag, dirty);
         }
         let p = r.get_usize()?;
         if p > r.remaining() {
@@ -329,6 +396,7 @@ impl Snapshot for MemoryModeSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvsim_types::snapshot::SnapshotErrorKind;
 
     fn sys() -> MemoryModeSystem {
         MemoryModeSystem::new(VansConfig::optane_1dimm()).expect("valid preset")
@@ -413,6 +481,42 @@ mod tests {
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.counters(), b.counters());
         assert_eq!(a.save_snapshot(), b.save_snapshot());
+    }
+
+    #[test]
+    fn restore_rejects_out_of_range_and_unordered_sets() {
+        let s = sys();
+        let restore_tags = |entries: &[(u64, u64, bool)]| {
+            let mut w = SnapshotWriter::new();
+            w.section(SECTION_MEMORY_MODE);
+            s.nvram.save(&mut w);
+            s.dram.save(&mut w);
+            w.put_u64(s.sets);
+            w.put_usize(entries.len());
+            for &(set, tag, dirty) in entries {
+                w.put_u64(set);
+                w.put_u64(tag);
+                w.put_bool(dirty);
+            }
+            // No pending completions; next id and stats all zero.
+            (0..5).for_each(|_| w.put_u64(0));
+            let bytes = w.into_bytes();
+            sys().restore(&mut SnapshotReader::new(&bytes))
+        };
+        let last = s.sets - 1;
+        assert_eq!(restore_tags(&[(3, 0, true), (last, 1, false)]), Ok(()));
+        for (entries, what) in [
+            (&[(s.sets, 0, false)][..], "out of range"),
+            (&[(9, 0, false), (9, 1, true)][..], "increasing"),
+            (&[(9, 0, false), (4, 0, false)][..], "increasing"),
+            (&[(1, u64::MAX >> 1, false)][..], "tag beyond"),
+        ] {
+            let err = restore_tags(entries).expect_err("hostile tag array");
+            assert!(
+                matches!(err.kind, SnapshotErrorKind::Invalid(m) if m.contains(what)),
+                "{entries:?}: {err}"
+            );
+        }
     }
 
     #[test]

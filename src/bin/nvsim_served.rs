@@ -213,8 +213,8 @@ fn run_daemon(args: &Args) -> io::Result<()> {
         let _ = io::stdout().flush();
     })?;
     eprintln!(
-        "nvsim-served: drained ({} connections, {} cycles, {} sessions parked)",
-        report.connections, report.cycles, report.parked_sessions
+        "nvsim-served: drained ({} connections, {} cycles, {} loop passes, {} sessions parked)",
+        report.connections, report.cycles, report.polls, report.parked_sessions
     );
     Ok(())
 }

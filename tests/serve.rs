@@ -266,3 +266,84 @@ fn sessions_migrate_between_servers() {
     assert_eq!(completions(&reply_origin), completions(&reply_target));
     assert_eq!(counters(&reply_origin), counters(&reply_target));
 }
+
+/// A hostile Memory Mode blob — a tag-array set past the cache or sets
+/// out of order — sent through `Restore` gets a typed `RestoreRejected`
+/// error and leaves the session exactly as it was.
+#[test]
+fn hostile_memory_mode_blob_is_rejected_through_restore() {
+    use nvsim::serve::protocol::ErrorCode;
+    use nvsim::types::snapshot::SnapshotWriter;
+
+    /// Near-memory cache sets of one Memory Mode DIMM (1 GB of lines).
+    const SETS: u64 = (1 << 30) / 64;
+    /// The encoded tag-array section: set count, entries, `(set, tag, dirty)`.
+    fn tag_bytes(entries: &[(u64, u64, bool)]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.put_u64(SETS);
+        w.put_usize(entries.len());
+        for &(set, tag, dirty) in entries {
+            w.put_u64(set);
+            w.put_u64(tag);
+            w.put_bool(dirty);
+        }
+        w.into_bytes()
+    }
+
+    let mut server = build_server(ServerConfig::with_workers(1));
+    let reply = server
+        .run_script(&encode(&[
+            open(1, BackendKind::VansMemoryMode, OpenOptions::default()),
+            Command::Batch {
+                sid: 1,
+                reqs: vec![
+                    RequestDesc::load(Addr::new(77 * 64)),
+                    RequestDesc::store(Addr::new(300 * 64)),
+                ],
+            },
+            Command::Save { sid: 1 },
+        ]))
+        .expect("valid script");
+    let blob = match &decode_responses(&reply).expect("responses decode")[2] {
+        Response::SnapshotBlob { blob, .. } => blob.clone(),
+        other => panic!("expected SnapshotBlob, got {other:?}"),
+    };
+    let tags = tag_bytes(&[(77, 0, false), (300, 0, true)]);
+    let at = blob
+        .windows(tags.len())
+        .position(|w| w == tags.as_slice())
+        .expect("the blob holds the two-entry tag array");
+
+    for entries in [
+        [(77, 0, false), (SETS, 0, true)],
+        [(300, 0, true), (77, 0, false)],
+        [(77, 0, false), (77, 0, true)],
+    ] {
+        let mut hostile = blob[..at].to_vec();
+        hostile.extend(tag_bytes(&entries));
+        hostile.extend(&blob[at + tags.len()..]);
+        let reply = server
+            .run_script(&encode(&[
+                Command::Restore {
+                    sid: 1,
+                    blob: hostile,
+                },
+                Command::Save { sid: 1 },
+            ]))
+            .expect("valid script");
+        let rsps = decode_responses(&reply).expect("responses decode");
+        match &rsps[0] {
+            Response::Error { code, detail, .. } => {
+                assert_eq!(*code, ErrorCode::RestoreRejected, "{entries:?}");
+                assert!(detail.contains("tag-array"), "{entries:?}: {detail}");
+            }
+            other => panic!("{entries:?}: expected a typed error, got {other:?}"),
+        }
+        match &rsps[1] {
+            Response::SnapshotBlob { blob: after, .. } => {
+                assert_eq!(after, &blob, "{entries:?}: prior state changed")
+            }
+            other => panic!("expected SnapshotBlob, got {other:?}"),
+        }
+    }
+}

@@ -10,6 +10,7 @@ use nvsim::prelude::*;
 use nvsim::types::snapshot::{restore_blob, save_blob, SnapshotErrorKind, MAGIC, VERSION};
 use nvsim::types::trace::JsonlSink;
 use nvsim::types::DetRng;
+use nvsim::vans::memory_mode::MemoryModeSystem;
 use nvsim::vans::{MemorySystem, VansConfig};
 use proptest::prelude::*;
 use std::io;
@@ -281,4 +282,89 @@ fn cpu_and_memory_checkpoint_together() {
     assert_eq!(ra.exec_time, rb.exec_time);
     assert_eq!(sys_a.counters(), sys_b.counters());
     assert_eq!(save_blob(&core_a), save_blob(&core_b));
+}
+
+/// Sets of the Memory Mode near-memory cache (1 GB of 64 B lines).
+const NEAR_SETS: u64 = (1 << 30) / 64;
+
+/// FNV-1a 64 of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A line address in near-memory set `set` under tag `tag`: lines one
+/// tag apart conflict in the direct-mapped cache.
+fn near_line(set: u64, tag: u64) -> Addr {
+    Addr::new((tag * NEAR_SETS + set) * 64)
+}
+
+/// Drives Memory Mode through a warm fast-forward and then a detailed
+/// window. Lines fall in a few hundred sets of the first, a middle and
+/// the last tag-array chunks, each under one of four tags, so the stream
+/// hits, write-allocates and evicts dirty conflicting lines.
+fn drive_memory_mode(sys: &mut MemoryModeSystem) {
+    let mut rng = DetRng::seed_from(0x2_1e3);
+    let pick = |rng: &mut DetRng| {
+        let set = match rng.range_u64(0, 3) {
+            0 => rng.range_u64(0, 1_500),
+            1 => NEAR_SETS / 2 - 32 + rng.range_u64(0, 64),
+            _ => NEAR_SETS - 1 - rng.range_u64(0, 64),
+        };
+        near_line(set, rng.range_u64(0, 4))
+    };
+    for i in 0..4_000u64 {
+        let addr = pick(&mut rng);
+        match i % 5 {
+            0 | 3 => sys.warm_access(&RequestDesc::store(addr)),
+            4 => sys.warm_access(&RequestDesc::new(addr, 256, MemOp::Load)),
+            _ => sys.warm_access(&RequestDesc::load(addr)),
+        }
+    }
+    let warm = sys.stats();
+    assert!(warm.hits > 0 && warm.misses > 0 && warm.writebacks > 0);
+
+    // Write-allocate into an untouched set, hit it, then evict it dirty.
+    let before = sys.stats();
+    sys.execute(RequestDesc::store(near_line(5_000, 0)));
+    sys.execute(RequestDesc::load(near_line(5_000, 0)));
+    sys.execute(RequestDesc::load(near_line(5_000, 1)));
+    let after = sys.stats();
+    assert_eq!(after.misses - before.misses, 2, "allocate + conflict miss");
+    assert_eq!(after.hits - before.hits, 1, "the allocated line hits");
+    assert_eq!(after.writebacks - before.writebacks, 1, "allocated dirty");
+
+    for i in 0..1_500u64 {
+        let addr = pick(&mut rng);
+        match i % 4 {
+            0 => sys.execute(RequestDesc::store(addr)),
+            1 => sys.execute(RequestDesc::new(addr, 64, MemOp::NtStore)),
+            _ => sys.execute(RequestDesc::load(addr)),
+        };
+    }
+    let detailed = sys.stats();
+    assert!(detailed.hits > after.hits && detailed.writebacks > after.writebacks);
+}
+
+/// Memory Mode snapshot bytes are pinned: the blob after a fixed warm +
+/// detailed stream matches the FNV-1a digest committed beside this suite,
+/// and save → restore → save is byte-identical.
+#[test]
+fn memory_mode_snapshot_bytes_are_pinned() {
+    let mut sys = MemoryModeSystem::new(VansConfig::optane_1dimm()).expect("valid preset");
+    drive_memory_mode(&mut sys);
+    let blob = sys.save_snapshot().expect("memory mode supports snapshots");
+    assert_eq!(
+        format!("{:016x}", fnv1a(&blob)),
+        include_str!("golden/memory_mode_snapshot.fnv1a").trim(),
+        "Memory Mode snapshot bytes changed ({} bytes)",
+        blob.len()
+    );
+
+    let mut restored = MemoryModeSystem::new(VansConfig::optane_1dimm()).expect("valid preset");
+    restored
+        .restore_snapshot(&blob)
+        .expect("same configuration");
+    assert_eq!(restored.save_snapshot().as_deref(), Some(blob.as_slice()));
 }

@@ -467,6 +467,70 @@ fn trickler_is_cut_off_while_the_daemon_is_busy() {
         .expect("clean drain");
 }
 
+/// A quiet daemon waits instead of spinning. One client holds a partial
+/// frame; a second sends more snapshot requests than its reply path can
+/// hold, never reads (so the daemon stops reading and dispatching for it
+/// with bytes still owed), and half-closes. Over the daemon's life the
+/// event loop makes about one pass per millisecond wait quantum, not the
+/// tens of thousands a busy spin would.
+#[test]
+fn quiet_daemon_waits_instead_of_spinning() {
+    use nvsim::serve::protocol::{decode_responses, Response};
+    use nvsim::serve::scripts::open_cmd;
+    use std::io::Write as _;
+    use std::time::{Duration, Instant};
+
+    // Reply bytes the hog is owed: more than loopback TCP buffers hold.
+    const OWED: usize = 16 << 20;
+    let hog_sid = 0; // `open_cmd(0)` opens `BackendKind::ALL[0]`
+    let save = Command::Save { sid: hog_sid };
+    let reply = build_server(ServerConfig::with_workers(1))
+        .run_script(&encode(&[open_cmd(hog_sid), save.clone()]))
+        .expect("valid script");
+    let blob_len = match &decode_responses(&reply).expect("decodes")[1] {
+        Response::SnapshotBlob { blob, .. } => blob.len(),
+        other => panic!("expected SnapshotBlob, got {other:?}"),
+    };
+    let mut cmds = vec![open_cmd(hog_sid)];
+    cmds.extend(std::iter::repeat_n(save, OWED / blob_len + 1));
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&shutdown);
+    let cfg = TransportConfig {
+        max_conn_response_bytes: 256 << 10,
+        ..TransportConfig::default()
+    };
+    let server = build_server(ServerConfig::with_workers(1));
+    let started = Instant::now();
+    let daemon_thread =
+        std::thread::spawn(move || daemon::serve_listener(listener, server, cfg, flag));
+
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &[0xAA; 300]);
+    let mut idle = std::net::TcpStream::connect(addr).expect("connect");
+    idle.write_all(&frame[..10]).expect("partial frame");
+    let mut hog = std::net::TcpStream::connect(addr).expect("connect");
+    hog.write_all(&encode(&cmds)).expect("hog script");
+    hog.shutdown(std::net::Shutdown::Write).expect("half-close");
+    std::thread::sleep(Duration::from_millis(300));
+
+    drop(hog);
+    drop(idle);
+    shutdown.store(true, Ordering::SeqCst);
+    let report = daemon_thread
+        .join()
+        .expect("daemon thread")
+        .expect("clean drain");
+    let elapsed_ms = started.elapsed().as_millis() as u64;
+    assert!(
+        report.polls <= 4 * elapsed_ms,
+        "{} loop passes in {elapsed_ms} ms: the daemon spins",
+        report.polls
+    );
+}
+
 /// The stdio path: `serve_stream` over in-memory pipes answers the same
 /// bytes as `run_script`, including for a truncated (mid-frame EOF)
 /// stream.
